@@ -99,21 +99,30 @@ def git_sha():
         return None
 
 
-def check_metric_names(record, trace):
-    """The driver's metrics must be exactly those BENCHMARK.json lists."""
+def listed_metrics(trace):
+    """The metrics BENCHMARK.json lists for this kind of run, in order."""
     path = os.path.join(ROOT, "BENCHMARK.json")
     if not os.path.exists(path):
-        return
+        fail("BENCHMARK.json not found at the repository root")
     with open(path) as f:
         spec = json.load(f)
-    listed = spec["per_layer" if trace == "1" else "end_to_end"]
-    want = {m["name"]: m["unit"] for m in listed}
-    got = {k: v["unit"] for k, v in record["metrics"].items()}
-    if want != got:
-        fail(f"metrics differ from BENCHMARK.json: missing "
-             f"{sorted(set(want) - set(got))}, unlisted "
-             f"{sorted(set(got) - set(want))}, units "
-             f"{sorted(k for k in want if k in got and want[k] != got[k])}")
+    return spec["per_layer" if trace == "1" else "end_to_end"]
+
+
+def with_units(values, trace):
+    """Gives the driver's name -> value metrics BENCHMARK.json's order and
+    units. A name it does not list is an error, and so is a missing
+    end-to-end metric; a missing per-layer metric is a layer that does not
+    run on the workload and reads 0."""
+    listed = listed_metrics(trace)
+    unlisted = sorted(set(values) - {m["name"] for m in listed})
+    if unlisted:
+        fail(f"metrics not listed in BENCHMARK.json: {unlisted}")
+    missing = [m["name"] for m in listed if m["name"] not in values]
+    if missing and trace == "0":
+        fail(f"end-to-end metrics missing: {missing}")
+    return {m["name"]: {"value": values.get(m["name"], 0), "unit": m["unit"]}
+            for m in listed}
 
 
 def main():
@@ -147,7 +156,7 @@ def main():
         fail(f"driver failed ({done.returncode})")
     with open(out) as f:
         record = json.load(f)
-    check_metric_names(record, args.trace)
+    record["metrics"] = with_units(record["metrics"], args.trace)
 
     record["provenance"]["git_sha"] = git_sha()
     record["provenance"]["source_sha256"] = source_digest()

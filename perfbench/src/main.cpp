@@ -34,11 +34,6 @@ namespace {
 using seafl::Json;
 using seafl::JsonObject;
 
-/// One worker beside the calling thread: deploy_loopback runs a server and
-/// two client threads next to it, which keeps every workload within four
-/// threads, and a fixed size keeps kernels' fan-out equal across workloads.
-constexpr std::size_t kPoolThreads = 1;
-
 std::string cpu_model() {
   std::ifstream cpuinfo("/proc/cpuinfo");
   std::string line;
@@ -70,9 +65,9 @@ double copy_gbs() {
   return best;
 }
 
-Json metrics_json(const std::vector<perfbench::Metric>& metrics) {
+Json diagnostics_json(const std::vector<perfbench::Metric>& diagnostics) {
   JsonObject out;
-  for (const auto& m : metrics)
+  for (const auto& m : diagnostics)
     out[m.name] = JsonObject{{"value", m.value}, {"unit", m.unit}};
   return out;
 }
@@ -119,7 +114,6 @@ int main(int argc, char** argv) {
   if (args.size() % 2 != 0 || !have_workload || out_path.empty())
     return usage();
 
-  seafl::set_global_pool_threads(kPoolThreads);
   perfbench::RunReport report;
   try {
     report = perfbench::run_workload(opt);
@@ -145,14 +139,16 @@ int main(int argc, char** argv) {
   };
   seafl::JsonArray checks;
   for (const auto& c : report.check_failures) checks.emplace_back(c);
+  JsonObject metrics;
+  for (const auto& [name, value] : report.metrics) metrics[name] = value;
   const Json result = JsonObject{
       {"workload", opt.workload},
       {"trace", opt.trace},
       {"correct", correct},
       {"attempted", report.attempted},
       {"failed", failed},
-      {"metrics", metrics_json(report.metrics)},
-      {"diagnostics", metrics_json(report.diagnostics)},
+      {"metrics", metrics},
+      {"diagnostics", diagnostics_json(report.diagnostics)},
       {"check_failures", checks},
       {"provenance", provenance},
   };
@@ -178,6 +174,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(failed));
   for (const auto& c : report.check_failures)
     std::printf("  check failed: %s\n", c.c_str());
+  for (const auto& [name, value] : report.metrics)
+    std::printf("  %-34s %14.6g\n", name.c_str(), value);
   for (const auto& m : report.diagnostics)
     std::printf("  %-34s %14.6g %s\n", m.name.c_str(), m.value, m.unit.c_str());
   return correct ? 0 : 1;

@@ -11,7 +11,13 @@ std::int64_t thread_cpu_ns() {
   return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
 }
 
-CpuRotor::CpuRotor(std::size_t every) : every_(every == 0 ? 1 : every) {
+std::int64_t process_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
+CpuRotor::CpuRotor() : last_move_ns_(thread_cpu_ns()) {
   cpu_set_t set;
   CPU_ZERO(&set);
   if (sched_getaffinity(0, sizeof(set), &set) == 0) {
@@ -20,8 +26,10 @@ CpuRotor::CpuRotor(std::size_t every) : every_(every == 0 ? 1 : every) {
   }
 }
 
-void CpuRotor::step() {
-  if (cpus_.size() < 2) return;
+void CpuRotor::tick() {
+  const std::int64_t now = thread_cpu_ns();
+  if (cpus_.size() < 2 || now - last_move_ns_ < kCpuNsPerCpu) return;
+  last_move_ns_ = now;
   cpu_set_t set;
   CPU_ZERO(&set);
   CPU_SET(cpus_[next_], &set);

@@ -3,11 +3,12 @@
 // after the call that produced it), a decorator around the run's
 // AggregationStrategy, and a decorator around the task's PartitionView.
 // Every mark is one steady_clock reading (strategy entries also read the
-// thread's CPU clock) appended to a preallocated buffer; nothing grows or
+// process CPU clock) appended to a preallocated buffer; nothing grows or
 // allocates while a run is timed.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -30,6 +31,12 @@ inline std::int64_t now_ns() {
 /// while the hypervisor steals the vCPU.
 std::int64_t thread_cpu_ns();
 
+/// CPU time of the whole process: every thread, pool workers included, and
+/// like thread_cpu_ns() without stolen time. Exact for the calling thread;
+/// another thread that is running at the moment of the read is counted up to
+/// its last scheduler tick, blocked threads exactly.
+std::int64_t process_cpu_ns();
+
 /// What a mark stamps: a journaled simulator event, or one edge of a call
 /// the benchmark timed through a decorator.
 enum class MarkKind : std::uint8_t {
@@ -44,7 +51,7 @@ struct Mark {
   std::int64_t ns = 0;
   MarkKind kind = MarkKind::kEvent;
   seafl::obs::TraceEventKind event = seafl::obs::TraceEventKind::kAssigned;
-  std::int64_t cpu_ns = 0;  ///< thread_cpu_ns(); strategy entries only
+  std::int64_t cpu_ns = 0;  ///< process_cpu_ns(); strategy entries only
 };
 
 /// Fixed-capacity mark buffer for one thread. A full buffer counts the
@@ -89,24 +96,22 @@ class MarkSink final : public seafl::obs::TraceSink {
   MarkLog* log_;
 };
 
-/// Moves the calling thread across the CPUs it may run on, one step every
-/// `every` calls of tick(). On a shared host the vCPUs run at different and
-/// drifting speeds; a simulation that visits all of them in turn measures
-/// their mean instead of the speed of whichever one it landed on.
+/// Moves the calling thread to the next CPU it may run on once it has used
+/// kCpuNsPerCpu of CPU time since its last move (checked at each tick()).
+/// The vCPUs of a shared host are slowed unequally by their neighbours; a
+/// serial simulation that visits all of them in turn pays their mean rather
+/// than the speed of whichever one it landed on. In paired paper_cifar runs
+/// it cut the spread across seeds from about 20% to under 8% (README.md).
 class CpuRotor {
  public:
-  explicit CpuRotor(std::size_t every);
-  /// Pins the calling thread to the next CPU (no-op with a single CPU).
-  void step();
-  void tick() {
-    if (++ticks_ % every_ == 0) step();
-  }
+  static constexpr std::int64_t kCpuNsPerCpu = 50'000'000;
+  CpuRotor();
+  void tick();
 
  private:
   std::vector<int> cpus_;
   std::size_t next_ = 0;
-  std::size_t every_;
-  std::size_t ticks_ = 0;
+  std::int64_t last_move_ns_ = 0;  ///< thread_cpu_ns() at the last move
 };
 
 /// Forwards to the wrapped strategy, stamping each aggregate() call, and
@@ -121,7 +126,7 @@ class TimedStrategy final : public seafl::AggregationStrategy {
                  std::span<const seafl::LocalUpdate> buffer,
                  seafl::ModelVector& global_out) override {
     log_->push(MarkKind::kAggBegin, seafl::obs::TraceEventKind::kAggregate,
-               thread_cpu_ns());
+               process_cpu_ns());
     inner_->aggregate(ctx, buffer, global_out);
     log_->push(MarkKind::kAggEnd);
     if (rotor_ != nullptr) rotor_->tick();
@@ -161,6 +166,34 @@ class TimedPartition final : public seafl::PartitionView {
  private:
   std::shared_ptr<const seafl::PartitionView> inner_;
   MarkLog* log_;
+};
+
+/// Forwards to the wrapped partition and reads the process CPU clock at the
+/// first client_indices() call from any thread. In a deploy run only clients
+/// read their shards, so that is the moment the first dispatched client
+/// starts training.
+class FirstReadStamp final : public seafl::PartitionView {
+ public:
+  explicit FirstReadStamp(std::shared_ptr<const seafl::PartitionView> inner)
+      : inner_(std::move(inner)) {}
+
+  std::size_t num_clients() const override { return inner_->num_clients(); }
+  std::size_t client_samples(std::size_t client) const override {
+    return inner_->client_samples(client);
+  }
+  std::span<const std::size_t> client_indices(
+      std::size_t client, std::vector<std::size_t>& scratch) const override {
+    std::int64_t unset = -1;
+    if (first_cpu_ns_.load(std::memory_order_relaxed) < 0)
+      first_cpu_ns_.compare_exchange_strong(unset, process_cpu_ns());
+    return inner_->client_indices(client, scratch);
+  }
+  /// process_cpu_ns() at the first read; -1 before it.
+  std::int64_t first_cpu_ns() const { return first_cpu_ns_.load(); }
+
+ private:
+  std::shared_ptr<const seafl::PartitionView> inner_;
+  mutable std::atomic<std::int64_t> first_cpu_ns_{-1};
 };
 
 /// The layers a simulated run's wall time is split into. Each is the self

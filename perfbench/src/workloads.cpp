@@ -9,6 +9,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -24,106 +25,23 @@ using seafl::obs::TraceEventKind;
 
 constexpr double kNsPerS = 1e9;
 
-// --- metric names ------------------------------------------------------------
-
-const std::map<std::string, std::string>& units() {
-  static const std::map<std::string, std::string> u{
-      {"updates_per_s", "1/s"},
-      {"round_p50_ms", "ms"},
-      {"peak_rss_mib", "MiB"},
-      {"setup_s", "s"},
-      {"fl.train_ms_per_update", "ms"},
-      {"fl.evaluate_ms_per_eval", "ms"},
-      {"compress.codec_ms_per_update", "ms"},
-      {"core.aggregate_ms_per_round", "ms"},
-      {"core.aggregate_gmacs_per_s", "GMAC/s"},
-      {"fl.server_core_us_per_round", "us"},
-      {"sim.engine_us_per_update", "us"},
-      {"fl.deploy.session_rtt_p50_ms", "ms"},
-      {"fl.deploy.turnaround_p50_ms", "ms"},
-      {"fl.deploy.server_busy_share", "ratio"},
-      {"net.bytes_per_update", "bytes"},
-      {"net.frames_per_update", "count"},
-      {"compress.wire_bytes_per_update", "bytes"},
-      {"alloc.per_update", "count"},
-      {"sim.events_per_update", "count"},
-      {"fl.useful_ratio", "ratio"},
-      {"fl.session_failure_share", "ratio"},
-      {"fl.mean_staleness", "rounds"},
-      {"data.setup_s", "s"},
-      {"sim.setup_s", "s"},
-      {"fl.setup_s", "s"},
-      {"fl.round_p50_ms", "ms"},
-      {"fl.round_tail_ms", "ms"},
-      {"fl.round_tail_pct", "%"},
-      {"fl.round_samples", "count"},
-      {"trace.unattributed_share", "ratio"},
-      {"trace.overhead", "ratio"},
-      {"share.data", "ratio"},
-      {"share.fl.train", "ratio"},
-      {"share.compress", "ratio"},
-      {"share.core", "ratio"},
-      {"share.fl.server_core", "ratio"},
-      {"share.fl.evaluate", "ratio"},
-      {"share.sim.engine", "ratio"},
-      {"share.fl.deploy", "ratio"},
-      {"share.net.poll_wait", "ratio"},
-      {"share.setup", "ratio"},
-      // Diagnostics.
-      {"time_to_target_s", "s"},
-      {"final_accuracy_min", "ratio"},
-      {"repetitions", "count"},
-      {"setup_samples", "count"},
-      {"windows", "count"},
-      {"window", "count"},
-      {"updates_per_s_overall", "1/s"},
-      {"trace.wall_s", "s"},
-      {"trace.dropped_marks", "count"},
-  };
-  return u;
+/// A diagnostic: printed and saved with the result, never compared, so it
+/// carries its own unit. Gated metrics go to RunReport::metrics by name;
+/// BENCHMARK.json gives their units.
+void note(RunReport& report, std::string name, double value,
+          std::string unit) {
+  report.diagnostics.push_back(Metric{std::move(name), value, std::move(unit)});
 }
-
-/// Collects metrics for one report section, filling units by name.
-class MetricSet {
- public:
-  void set(const std::string& name, double value) {
-    const auto it = units().find(name);
-    if (it == units().end())
-      throw std::logic_error("perfbench: metric without a unit: " + name);
-    values_[name] = Metric{name, value, it->second};
-  }
-  /// The named metrics in order; any name never set reads 0.
-  std::vector<Metric> take(const std::vector<std::string>& names) const {
-    std::vector<Metric> out;
-    for (const std::string& n : names) {
-      const auto it = values_.find(n);
-      out.push_back(it != values_.end() ? it->second
-                                        : Metric{n, 0.0, units().at(n)});
-    }
-    return out;
-  }
-  std::vector<Metric> all() const {
-    std::vector<Metric> out;
-    for (const auto& [name, m] : values_) out.push_back(m);
-    return out;
-  }
-
- private:
-  std::map<std::string, Metric> values_;
-};
 
 // --- process probes ------------------------------------------------------------
 
 /// Returns freed heap to the kernel and restarts the peak-RSS watermark, so
 /// the next VmHWM reading covers one repetition rather than the process
-/// history. False where the kernel refuses the reset; readings are then the
-/// process peak.
-bool reset_peak_rss() {
+/// history. Where the kernel refuses the reset, VmHWM stays the process
+/// peak.
+void reset_peak_rss() {
   malloc_trim(0);
-  std::ofstream clear("/proc/self/clear_refs");
-  clear << "5";
-  clear.flush();
-  return clear.good();
+  std::ofstream("/proc/self/clear_refs") << "5";
 }
 
 double peak_rss_mib() {
@@ -144,31 +62,19 @@ double seconds_between(std::int64_t a, std::int64_t b) {
   return static_cast<double>(b - a) / kNsPerS;
 }
 
-/// Throughput and round time over windows of `window` consecutive
-/// aggregations. A median over windows is what the end-to-end metrics
-/// report: it follows the steady per-update cost and is not moved by the
-/// rare multi-millisecond stalls a shared host inflicts on a few rounds.
-struct WindowRates {
-  std::vector<double> updates_per_s;
-  std::vector<double> round_ms;
-};
-
-/// `stamps_s[i]` is the wall time (seconds, any origin) of aggregation i
-/// and `log[i]` its round statistics; window k spans stamps kW .. (k+1)W
-/// and counts the updates aggregated at its last W stamps.
-void add_windows(const std::vector<double>& stamps_s,
-                 const std::vector<seafl::RoundStat>& log, std::size_t window,
-                 WindowRates& out) {
+/// Adds one repetition's span from its first aggregation to its last:
+/// the updates aggregated at stamps 1..n-1 and the process CPU seconds
+/// between stamp 0 and stamp n-1. `stamps_s[i]` is the process CPU time
+/// (seconds, any origin) at the start of aggregation i and `log[i]` its
+/// round statistics.
+void add_span(const std::vector<double>& stamps_s,
+              const std::vector<seafl::RoundStat>& log, double& updates,
+              double& seconds) {
   const std::size_t n = std::min(stamps_s.size(), log.size());
-  for (std::size_t end = window; end < n; end += window) {
-    const double seconds = stamps_s[end] - stamps_s[end - window];
-    if (seconds <= 0.0) continue;
-    double updates = 0.0;
-    for (std::size_t j = end - window + 1; j <= end; ++j)
-      updates += static_cast<double>(log[j].updates);
-    out.updates_per_s.push_back(updates / seconds);
-    out.round_ms.push_back(seconds * 1e3 / static_cast<double>(window));
-  }
+  if (n < 2) return;
+  for (std::size_t j = 1; j < n; ++j)
+    updates += static_cast<double>(log[j].updates);
+  seconds += stamps_s[n - 1] - stamps_s[0];
 }
 
 // --- result checks -------------------------------------------------------------
@@ -279,13 +185,15 @@ std::uint64_t rep_seed(std::uint64_t seed, std::size_t rep) {
 
 /// fl.round_* diagnostics: median and highest supported percentile of
 /// single-round wall gaps (ms), with their sample count.
-void set_round_distribution(MetricSet& m, const std::vector<double>& gaps) {
-  m.set("fl.round_samples", static_cast<double>(gaps.size()));
+void set_round_distribution(RunReport& report,
+                            const std::vector<double>& gaps) {
+  auto& m = report.metrics;
+  m["fl.round_samples"] = static_cast<double>(gaps.size());
   if (gaps.empty()) return;
-  m.set("fl.round_p50_ms", median(gaps));
+  m["fl.round_p50_ms"] = median(gaps);
   const auto tail = highest_supported_percentile(gaps);
-  m.set("fl.round_tail_ms", tail ? tail->value : 0.0);
-  m.set("fl.round_tail_pct", tail ? tail->percentile : 0.0);
+  m["fl.round_tail_ms"] = tail ? tail->value : 0.0;
+  m["fl.round_tail_pct"] = tail ? tail->percentile : 0.0;
 }
 
 // --- simulated workloads -------------------------------------------------------
@@ -300,12 +208,11 @@ struct SimWorkload {
   std::function<void(seafl::RunConfig&)> configure;
   bool to_target = false;      ///< each run stops at the task target
   double accuracy_floor = 0.0;
-  /// Aggregations per window of the end-to-end rates (see add_windows).
-  std::size_t window = 4;
-  /// The simulation thread moves to the next CPU every this many rounds
-  /// (see CpuRotor): window / rotate_every is the number of CPUs one window
-  /// averages over, and rounds between moves keep migrations rare.
-  std::size_t rotate_every = 1;
+  /// Kernels run on the simulation thread (a SerialKernelScope, as
+  /// exp::Runner runs simulations), so all of the run's CPU time is that
+  /// thread's. False: they fan out to the global pool, the program's
+  /// default path.
+  bool serial_kernels = true;
   /// Wall seconds one repetition takes on the reference host; sets how many
   /// repetitions a run of --seconds makes.
   double nominal_rep_s = 1.0;
@@ -343,9 +250,7 @@ SimWorkload paper_cifar(std::uint64_t seed) {
   w.algorithm = "seafl";
   w.to_target = true;
   w.accuracy_floor = w.params.target_accuracy;
-  w.window = 1;
-  w.rotate_every = 1;
-  w.nominal_rep_s = 5.0;
+  w.nominal_rep_s = 12.0;
   return w;
 }
 
@@ -353,7 +258,8 @@ SimWorkload server_ingest(std::uint64_t seed) {
   // Server data plane: int8 uploads with error feedback into screened
   // SEAFL aggregation of a 563,722-parameter model (2.25 MB, larger than a
   // core's L2); clients do one SGD step on 4 samples, so decode, screening
-  // and the Eq. 7/8 mix dominate.
+  // and the Eq. 7/8 mix dominate. The only workload whose kernels fan out
+  // to the pool, as the program's default path does.
   SimWorkload w;
   w.task.name = "synth-mnist";
   w.task.num_clients = 100;
@@ -379,8 +285,7 @@ SimWorkload server_ingest(std::uint64_t seed) {
   w.algorithm = "seafl-ft";
   w.mlp_hidden = 1024;
   w.accuracy_floor = 0.3;
-  w.window = 4;
-  w.rotate_every = 1;
+  w.serial_kernels = false;
   w.nominal_rep_s = 2.5;
   return w;
 }
@@ -421,9 +326,7 @@ SimWorkload pop_churn(std::uint64_t seed) {
     c.faults.round_deadline = 20.0;
   };
   w.accuracy_floor = 0.3;
-  w.window = 64;
-  w.rotate_every = 16;
-  w.nominal_rep_s = 2.0;
+  w.nominal_rep_s = 1.5;
   return w;
 }
 
@@ -436,6 +339,7 @@ double work_per_sample(const seafl::FlTask& task) {
          mlp;
 }
 
+/// Process CPU seconds of a repetition's set-up, by part.
 struct SetupSample {
   double data = 0.0;  ///< make_task
   double sim = 0.0;   ///< Fleet
@@ -447,8 +351,11 @@ struct SimRep {
   seafl::RunResult result;
   seafl::RunConfig config;
   SetupSample setup;
+  std::int64_t setup_wall_ns = 0;  ///< the same set-up on the wall clock
   Interval run;            ///< the Simulation::run call
   Interval wall;           ///< set-up through teardown
+  std::int64_t run_cpu_ns = 0;         ///< process CPU inside run()
+  std::int64_t run_thread_cpu_ns = 0;  ///< this thread's CPU inside run()
   std::uint64_t allocs = 0;  ///< heap allocations inside run()
   std::vector<Mark> marks;   ///< traced: every mark; untraced: round marks
   std::size_t dropped_marks = 0;
@@ -458,16 +365,17 @@ struct SimRep {
 /// One repetition: build the world from the seed, run it, tear it down.
 /// `run_it` false stops after construction (a set-up-only sample).
 SimRep sim_rep(const SimWorkload& w, bool traced, bool run_it, MarkLog& log,
-               CpuRotor& rotor) {
+               CpuRotor* rotor) {
   log.clear();
   SimRep rep;
   reset_peak_rss();
   const std::int64_t t0 = now_ns();
+  const std::int64_t c0 = process_cpu_ns();
   {
     seafl::FlTask task = seafl::make_task(w.task);
-    const std::int64_t t1 = now_ns();
+    const std::int64_t c1 = process_cpu_ns();
     const seafl::Fleet fleet(w.fleet);
-    const std::int64_t t2 = now_ns();
+    const std::int64_t c2 = process_cpu_ns();
     seafl::Arm arm = seafl::make_arm(w.algorithm, w.params);
     if (w.configure) w.configure(arm.config);
     rep.config = arm.config;
@@ -478,17 +386,22 @@ SimRep sim_rep(const SimWorkload& w, bool traced, bool run_it, MarkLog& log,
     MarkSink sink(log);  // declared first: outlives the simulation
     seafl::Simulation sim(
         task, factory, fleet,
-        std::make_unique<TimedStrategy>(std::move(arm.strategy), log, &rotor),
+        std::make_unique<TimedStrategy>(std::move(arm.strategy), log, rotor),
         arm.config, work_per_sample(task));
     if (traced) sim.set_trace_sink(&sink);
-    const std::int64_t t3 = now_ns();
-    rep.setup = {seconds_between(t0, t1), seconds_between(t1, t2),
-                 seconds_between(t2, t3)};
+    const std::int64_t c3 = process_cpu_ns();
+    rep.setup_wall_ns = now_ns() - t0;
+    rep.setup = {seconds_between(c0, c1), seconds_between(c1, c2),
+                 seconds_between(c2, c3)};
     if (run_it) {
       const std::uint64_t a0 = heap_allocs();
+      const std::int64_t thread0 = thread_cpu_ns();
+      const std::int64_t cpu0 = process_cpu_ns();
       rep.run.begin = now_ns();
       rep.result = sim.run();
       rep.run.end = now_ns();
+      rep.run_cpu_ns = process_cpu_ns() - cpu0;
+      rep.run_thread_cpu_ns = thread_cpu_ns() - thread0;
       rep.allocs = heap_allocs() - a0;
     }
     rep.peak_rss_mib = peak_rss_mib();
@@ -500,7 +413,7 @@ SimRep sim_rep(const SimWorkload& w, bool traced, bool run_it, MarkLog& log,
 }
 
 /// Time (s) of each strategy call's start, one stamp per aggregation: on
-/// the wall clock, or on the simulation thread's CPU clock.
+/// the wall clock, or on the process CPU clock.
 std::vector<double> aggregation_stamps(const std::vector<Mark>& marks,
                                        bool cpu_clock) {
   std::vector<double> stamps;
@@ -541,13 +454,6 @@ double per(double amount, std::uint64_t count) {
   return per(amount, static_cast<double>(count));
 }
 
-template <typename Rep>
-double min_final_accuracy(const std::vector<Rep>& reps) {
-  double lowest = 1.0;
-  for (const Rep& r : reps) lowest = std::min(lowest, r.result.final_accuracy);
-  return lowest;
-}
-
 /// How many repetitions a run makes: the run's work is fixed by --seconds
 /// and the workload (not by how fast this build is), so every build of a
 /// comparison measures the same repetitions.
@@ -556,100 +462,56 @@ std::size_t repetitions(double seconds, double nominal_rep_s) {
       std::max(1.0, std::round(seconds / nominal_rep_s)));
 }
 
+/// Workers of the global pool in a simulated workload: with the simulation
+/// thread, the host's four vCPUs. Serial workloads leave them idle.
+constexpr std::size_t kSimPoolThreads = 3;
+
+/// Largest share of a serial workload's run CPU that may come from threads
+/// other than the simulation's. Its pool workers are idle, so the share is
+/// about 0; more means work left the thread the workload is defined on.
+constexpr double kMaxOffThreadShare = 0.01;
+
 RunReport run_sim_workload(SimWorkload (*make)(std::uint64_t),
                            const RunOptions& opt) {
-  // One core per simulation, as exp::Runner runs them: the event loop and
-  // its kernels stay on this thread, so a run does not hinge on a second
-  // vCPU being free at every GEMM.
-  const seafl::SerialKernelScope serial;
   RunReport report;
-  MetricSet m;
+  auto& m = report.metrics;
+  auto& failures = report.check_failures;
   const SimWorkload w = make(opt.seed);
+  seafl::set_global_pool_threads(kSimPoolThreads);
+  std::optional<seafl::SerialKernelScope> serial;
+  std::optional<CpuRotor> rotor;  // a pooled run spreads over the vCPUs
+  if (w.serial_kernels) {
+    serial.emplace();
+    rotor.emplace();
+  }
+  CpuRotor* const rotor_ptr = rotor ? &*rotor : nullptr;
   // Untraced repetitions only stamp strategy calls: two marks per round.
   MarkLog log(opt.trace ? kTraceMarks : 2 * w.params.max_rounds + 16);
-  std::vector<SimRep> plain;   // untraced repetitions
-  std::vector<SimRep> traced;  // traced twins (trace runs only)
   std::vector<SetupSample> setups;
-  CpuRotor rotor(w.rotate_every);
 
   // Set-up-only samples first: they also warm the allocator and caches for
   // the timed repetitions.
   constexpr std::size_t kSetupSamples = 7;
   if (!opt.trace) {
-    for (std::size_t i = 0; i < kSetupSamples; ++i) {
-      rotor.step();
+    for (std::size_t i = 0; i < kSetupSamples; ++i)
       setups.push_back(
-          sim_rep(make(rep_seed(opt.seed, i)), false, false, log, rotor)
+          sim_rep(make(rep_seed(opt.seed, i)), false, false, log, rotor_ptr)
               .setup);
-    }
-  }
-  const std::size_t reps = repetitions(opt.seconds, w.nominal_rep_s);
-  for (std::size_t i = 0; i < reps; ++i) {
-    const SimWorkload wi = make(rep_seed(opt.seed, i));
-    plain.push_back(sim_rep(wi, false, true, log, rotor));
-    if (opt.trace) traced.push_back(sim_rep(wi, true, true, log, rotor));
   }
 
-  // --- checks -----------------------------------------------------------
-  auto& failures = report.check_failures;
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    check_run_result(failures, plain[i].result, plain[i].config, w.to_target,
-                     w.accuracy_floor);
-    if (i < traced.size()) {
-      expect(failures, same_result(traced[i].result, plain[i].result),
-             "traced RunResult differs from the untraced one");
-      expect(failures, traced[i].dropped_marks == 0,
-             "trace mark buffer overflowed");
-    }
-  }
-
+  // Each repetition is folded into these as soon as it ends and then freed,
+  // so nothing it leaves behind is resident while the next one runs.
   double run_s = 0.0;
+  double run_cpu_ns = 0.0;
+  double off_thread_ns = 0.0;
+  double span_updates = 0.0;
+  double span_cpu_s = 0.0;
+  double allocs = 0.0;
+  double lowest_accuracy = 1.0;
   ResultTotals totals;
-  WindowRates rates;
   std::vector<double> rss;
   std::vector<double> times_to_target;
-  for (const SimRep& r : plain) {
-    report.attempted += r.result.model_downloads;
-    run_s += seconds_between(r.run.begin, r.run.end);
-    totals.add(r.result);
-    // A simulation is one busy thread: on an unshared core its CPU time is
-    // its wall time, and the CPU clock leaves out what the hypervisor steals
-    // (17% of a vCPU at times on the reference host).
-    add_windows(aggregation_stamps(r.marks, /*cpu_clock=*/true),
-                r.result.round_log, w.window, rates);
-    rss.push_back(r.peak_rss_mib);
-    setups.push_back(r.setup);
-    if (r.result.time_to_target >= 0.0)
-      times_to_target.push_back(r.result.time_to_target);
-  }
-  // Over the whole timed run, stalls included (diagnostic).
-  const double updates_per_s = totals.updates / run_s;
-  m.set("updates_per_s_overall", updates_per_s);
-  if (!times_to_target.empty())
-    m.set("time_to_target_s", median(times_to_target));
-  m.set("repetitions", static_cast<double>(plain.size()));
-  m.set("window", static_cast<double>(w.window));
-  m.set("final_accuracy_min", min_final_accuracy(plain));
-
-  if (!opt.trace) {
-    std::vector<double> setup_totals;
-    for (const SetupSample& s : setups) setup_totals.push_back(s.total());
-    expect(failures, !rates.updates_per_s.empty(),
-           "too few rounds for one rate window");
-    if (!rates.updates_per_s.empty()) {
-      m.set("updates_per_s", median(rates.updates_per_s));
-      m.set("round_p50_ms", median(rates.round_ms));
-    }
-    m.set("peak_rss_mib", median(rss));
-    m.set("setup_s", median(setup_totals));
-    m.set("setup_samples", static_cast<double>(setup_totals.size()));
-    m.set("windows", static_cast<double>(rates.round_ms.size()));
-    report.metrics = m.take(end_to_end_metric_names());
-    report.diagnostics = m.all();
-    return report;
-  }
-
-  // --- traced run: per-layer split ------------------------------------------
+  // Traced twins: the per-layer split.
   Attribution a;
   ResultTotals t;
   double traced_wall_ns = 0.0;
@@ -662,81 +524,129 @@ RunReport run_sim_workload(SimWorkload (*make)(std::uint64_t),
   for (std::size_t l = 0; l < kLayerCount; ++l)
     csv << ',' << layer_name(static_cast<Layer>(l)) << "_ns";
   csv << '\n';
-  for (std::size_t rep = 0; rep < traced.size(); ++rep) {
-    const SimRep& r = traced[rep];
-    const Attribution ra = attribute(r.marks, r.run);
+
+  const std::size_t reps = repetitions(opt.seconds, w.nominal_rep_s);
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    const SimWorkload wi = make(rep_seed(opt.seed, rep));
+    const SimRep r = sim_rep(wi, false, true, log, rotor_ptr);
+    check_run_result(failures, r.result, r.config, w.to_target,
+                     w.accuracy_floor);
+    report.attempted += r.result.model_downloads;
+    run_s += seconds_between(r.run.begin, r.run.end);
+    run_cpu_ns += static_cast<double>(r.run_cpu_ns);
+    off_thread_ns += static_cast<double>(r.run_cpu_ns - r.run_thread_cpu_ns);
+    allocs += static_cast<double>(r.allocs);
+    lowest_accuracy = std::min(lowest_accuracy, r.result.final_accuracy);
+    totals.add(r.result);
+    // Timed on the process CPU clock: it counts the work of every thread,
+    // pool workers included, and leaves out what the hypervisor steals
+    // (17% of a vCPU at times on the reference host).
+    add_span(aggregation_stamps(r.marks, /*cpu_clock=*/true),
+             r.result.round_log, span_updates, span_cpu_s);
+    rss.push_back(r.peak_rss_mib);
+    setups.push_back(r.setup);
+    if (r.result.time_to_target >= 0.0)
+      times_to_target.push_back(r.result.time_to_target);
+    if (!opt.trace) continue;
+
+    const SimRep tr = sim_rep(wi, true, true, log, rotor_ptr);
+    expect(failures, same_result(tr.result, r.result),
+           "traced RunResult differs from the untraced one");
+    dropped += tr.dropped_marks;
+    const Attribution ra = attribute(tr.marks, tr.run);
     a.add(ra);
     for (std::size_t round = 0; round < ra.by_round.size(); ++round) {
       csv << rep << ',' << round;
       for (const std::int64_t ns : ra.by_round[round]) csv << ',' << ns;
       csv << '\n';
     }
-    t.add(r.result);
-    traced_wall_ns += static_cast<double>(r.wall.length());
-    traced_run_s += seconds_between(r.run.begin, r.run.end);
-    setup_ns += r.setup.total() * kNsPerS;
+    t.add(tr.result);
+    traced_wall_ns += static_cast<double>(tr.wall.length());
+    traced_run_s += seconds_between(tr.run.begin, tr.run.end);
+    setup_ns += static_cast<double>(tr.setup_wall_ns);
     const std::vector<double> stamps =
-        aggregation_stamps(r.marks, /*cpu_clock=*/false);
+        aggregation_stamps(tr.marks, /*cpu_clock=*/false);
     for (std::size_t i = 1; i < stamps.size(); ++i)
       round_gaps.push_back((stamps[i] - stamps[i - 1]) * 1e3);
-    data_s.push_back(r.setup.data);
-    sim_s.push_back(r.setup.sim);
-    fl_s.push_back(r.setup.fl);
-    dropped += r.dropped_marks;
+    data_s.push_back(tr.setup.data);
+    sim_s.push_back(tr.setup.sim);
+    fl_s.push_back(tr.setup.fl);
   }
+  expect(failures, dropped == 0, "trace mark buffer overflowed");
+  // The CPU clock counts every thread, so work moved to another thread is
+  // still paid for; on a serial workload it also breaks what the workload
+  // is defined to measure, and that must not pass unseen.
+  const double off_thread_share = per(off_thread_ns, run_cpu_ns);
+  if (w.serial_kernels)
+    expect(failures, off_thread_share <= kMaxOffThreadShare,
+           "CPU time left the simulation thread of a serial workload");
+
+  // Over the whole timed run on the wall clock, stalls included.
+  const double updates_per_s = totals.updates / run_s;
+  note(report, "updates_per_s_overall", updates_per_s, "1/s");
+  if (!times_to_target.empty())
+    note(report, "time_to_target_s", median(times_to_target), "s");
+  note(report, "cpu.off_thread_share", off_thread_share, "ratio");
+  note(report, "repetitions", static_cast<double>(reps), "count");
+  note(report, "final_accuracy_min", lowest_accuracy, "ratio");
+
+  if (!opt.trace) {
+    std::vector<double> setup_totals;
+    for (const SetupSample& s : setups) setup_totals.push_back(s.total());
+    expect(failures, span_cpu_s > 0.0, "too few rounds to time");
+    if (span_cpu_s > 0.0) m["updates_per_s"] = span_updates / span_cpu_s;
+    m["peak_rss_mib"] = median(rss);
+    m["setup_s"] = median(setup_totals);
+    note(report, "setup_samples", static_cast<double>(setup_totals.size()),
+         "count");
+    return report;
+  }
+
+  // --- traced run: per-layer split ------------------------------------------
   const double aggregations = static_cast<double>(a.aggregations);
   auto layer_ns = [&](Layer l) {
     return static_cast<double>(a.self_ns[static_cast<std::size_t>(l)]);
   };
 
-  m.set("fl.train_ms_per_update",
-        per(layer_ns(Layer::kTrain) / 1e6,
-            static_cast<double>(a.trained_sessions)));
-  m.set("fl.evaluate_ms_per_eval",
-        per(layer_ns(Layer::kEvaluate) / 1e6,
-            static_cast<double>(a.evaluations)));
-  m.set("compress.codec_ms_per_update",
-        per(layer_ns(Layer::kCodec) / 1e6,
-            static_cast<double>(a.codec_uploads)));
-  m.set("core.aggregate_ms_per_round",
-        per(layer_ns(Layer::kAggregate) / 1e6, aggregations));
-  m.set("core.aggregate_gmacs_per_s",
-        per(t.work / 1e9, layer_ns(Layer::kAggregate) / kNsPerS));
-  m.set("fl.server_core_us_per_round",
-        per(layer_ns(Layer::kServerCore) / 1e3, aggregations));
-  m.set("sim.engine_us_per_update",
-        per(layer_ns(Layer::kEngine) / 1e3, t.updates));
-  m.set("compress.wire_bytes_per_update", per(t.wire_bytes, t.uploads));
-  m.set("sim.events_per_update", per(static_cast<double>(a.events), t.updates));
-  {
-    double allocs = 0.0;
-    for (const SimRep& r : plain) allocs += static_cast<double>(r.allocs);
-    m.set("alloc.per_update", per(allocs, totals.updates));
-  }
-  m.set("fl.useful_ratio", per(t.aggregated, t.dispatched));
-  m.set("fl.session_failure_share",
-        failure_share(t.dispatched, t.failed));
-  m.set("fl.mean_staleness", per(t.staleness, t.updates));
-  m.set("data.setup_s", median(data_s));
-  m.set("sim.setup_s", median(sim_s));
-  m.set("fl.setup_s", median(fl_s));
-  set_round_distribution(m, round_gaps);
+  m["fl.train_ms_per_update"] =
+      per(layer_ns(Layer::kTrain) / 1e6,
+          static_cast<double>(a.trained_sessions));
+  m["fl.evaluate_ms_per_eval"] =
+      per(layer_ns(Layer::kEvaluate) / 1e6, static_cast<double>(a.evaluations));
+  m["compress.codec_ms_per_update"] =
+      per(layer_ns(Layer::kCodec) / 1e6, static_cast<double>(a.codec_uploads));
+  m["core.aggregate_ms_per_round"] =
+      per(layer_ns(Layer::kAggregate) / 1e6, aggregations);
+  m["core.aggregate_gmacs_per_s"] =
+      per(t.work / 1e9, layer_ns(Layer::kAggregate) / kNsPerS);
+  m["fl.server_core_us_per_round"] =
+      per(layer_ns(Layer::kServerCore) / 1e3, aggregations);
+  m["sim.engine_us_per_update"] =
+      per(layer_ns(Layer::kEngine) / 1e3, t.updates);
+  m["compress.wire_bytes_per_update"] = per(t.wire_bytes, t.uploads);
+  m["sim.events_per_update"] = per(static_cast<double>(a.events), t.updates);
+  m["alloc.per_update"] = per(allocs, totals.updates);
+  m["fl.useful_ratio"] = per(t.aggregated, t.dispatched);
+  m["fl.session_failure_share"] = failure_share(t.dispatched, t.failed);
+  m["fl.mean_staleness"] = per(t.staleness, t.updates);
+  m["data.setup_s"] = median(data_s);
+  m["sim.setup_s"] = median(sim_s);
+  m["fl.setup_s"] = median(fl_s);
+  set_round_distribution(report, round_gaps);
 
   std::vector<double> selfs;
   for (std::size_t i = 0; i < kLayerCount; ++i) {
     const auto layer = static_cast<Layer>(i);
     selfs.push_back(layer_ns(layer));
-    m.set(std::string("share.") + layer_name(layer),
-          layer_ns(layer) / traced_wall_ns);
+    m[std::string("share.") + layer_name(layer)] =
+        layer_ns(layer) / traced_wall_ns;
   }
   selfs.push_back(setup_ns);
-  m.set("share.setup", setup_ns / traced_wall_ns);
-  m.set("trace.unattributed_share", unattributed_share(traced_wall_ns, selfs));
-  m.set("trace.overhead", updates_per_s / (t.updates / traced_run_s) - 1.0);
-  m.set("trace.wall_s", traced_wall_ns / kNsPerS);
-  m.set("trace.dropped_marks", static_cast<double>(dropped));
-  report.metrics = m.take(per_layer_metric_names());
-  report.diagnostics = m.all();
+  m["share.setup"] = setup_ns / traced_wall_ns;
+  m["trace.unattributed_share"] = unattributed_share(traced_wall_ns, selfs);
+  m["trace.overhead"] = updates_per_s / (t.updates / traced_run_s) - 1.0;
+  note(report, "trace.wall_s", traced_wall_ns / kNsPerS, "s");
+  note(report, "trace.dropped_marks", static_cast<double>(dropped), "count");
   report.rounds_csv = csv.str();
   return report;
 }
@@ -749,10 +659,7 @@ struct DeployWorkload {
   std::size_t mlp_hidden = 128;
   std::size_t clients = 2;
   double accuracy_floor = 0.0;
-  /// Aggregations per throughput window: single rounds, so a vCPU stolen
-  /// for a few milliseconds spoils one sample rather than a whole window.
-  std::size_t window = 1;
-  double nominal_rep_s = 0.4;  ///< see SimWorkload::nominal_rep_s
+  double nominal_rep_s = 0.25;  ///< see SimWorkload::nominal_rep_s
 };
 
 DeployWorkload deploy_loopback(std::uint64_t seed) {
@@ -788,8 +695,12 @@ DeployWorkload deploy_loopback(std::uint64_t seed) {
 struct DeployRep {
   seafl::RunResult result;
   seafl::RunConfig config;
-  SetupSample setup;  ///< data; fl = server construction to first dispatch
-  double server_ctor_s = 0.0;
+  /// Process CPU: data = make_task; fl = the rest until the first
+  /// dispatched client starts training (server and clients constructed,
+  /// connected and registered, first model sent and received).
+  SetupSample setup;
+  std::int64_t data_wall_ns = 0;       ///< make_task on the wall clock
+  std::int64_t server_ctor_wall_ns = 0;
   std::vector<seafl::obs::TraceEvent> journal;  ///< server wall clock
   seafl::net::SocketStats sockets;
   std::vector<seafl::DeployClientStats> clients;
@@ -812,9 +723,13 @@ DeployRep deploy_rep(const DeployWorkload& w, MarkLog& log) {
   DeployRep rep;
   reset_peak_rss();
   const std::int64_t t0 = now_ns();
+  const std::int64_t c0 = process_cpu_ns();
   {
-    const seafl::FlTask task = seafl::make_task(w.task);
+    seafl::FlTask task = seafl::make_task(w.task);
+    const std::int64_t c1 = process_cpu_ns();
     const std::int64_t t1 = now_ns();
+    const auto first_read = std::make_shared<FirstReadStamp>(task.partition);
+    task.partition = first_read;
     seafl::Arm arm = seafl::make_arm("seafl", w.params);
     rep.config = arm.config;
     const seafl::ModelFactory factory = seafl::make_mlp(
@@ -829,8 +744,8 @@ DeployRep deploy_rep(const DeployWorkload& w, MarkLog& log) {
         arm.config, opts);
     // The server's wall clock starts inside its constructor; journal times
     // are offsets from about here.
-    const std::int64_t t2 = now_ns();
-    rep.server_ctor_s = seconds_between(t1, t2);
+    rep.data_wall_ns = t1 - t0;
+    rep.server_ctor_wall_ns = now_ns() - t1;
     const std::uint16_t port = server.port();
     rep.clients.resize(w.clients);
     rep.client_errors.resize(w.clients);
@@ -864,16 +779,9 @@ DeployRep deploy_rep(const DeployWorkload& w, MarkLog& log) {
     rep.journal = server.journal().events();
     rep.sockets = server.socket_stats();
     rep.dim = rep.result.final_weights.size();
-
-    double first_dispatch = -1.0;
-    for (const auto& e : rep.journal) {
-      if (e.kind == TraceEventKind::kAssigned) {
-        first_dispatch = e.time;
-        break;
-      }
-    }
-    rep.setup = {seconds_between(t0, t1), 0.0,
-                 rep.server_ctor_s + std::max(first_dispatch, 0.0)};
+    const std::int64_t c2 = first_read->first_cpu_ns();
+    rep.setup = {seconds_between(c0, c1), 0.0,
+                 c2 >= c1 ? seconds_between(c1, c2) : 0.0};
     rep.peak_rss_mib = peak_rss_mib();
   }
   rep.wall = Interval{t0, now_ns()};
@@ -886,7 +794,6 @@ DeployRep deploy_rep(const DeployWorkload& w, MarkLog& log) {
 /// durations cross between the two clocks, never time points.
 struct DeployTimes {
   double run_s = 0.0;  ///< first dispatch to last aggregation
-  std::vector<double> aggregate_stamps;  ///< s, one per aggregation
   std::vector<double> round_gaps;    ///< s, between consecutive aggregations
   std::vector<double> session_rtts;  ///< s, dispatch to upload per session
   std::vector<double> turnarounds;   ///< s, last upload to next dispatch
@@ -931,7 +838,6 @@ DeployTimes deploy_times(const std::vector<seafl::obs::TraceEvent>& journal,
       }
       case TraceEventKind::kAggregate:
         // Journaled with the time try_aggregate was entered.
-        t.aggregate_stamps.push_back(e.time);
         if (last_aggregate >= 0.0)
           t.round_gaps.push_back(e.time - last_aggregate);
         if (last_upload >= 0.0)
@@ -973,70 +879,67 @@ void check_deploy_rep(std::vector<std::string>& failures, const DeployRep& r,
          "a client disconnected mid-session");
   for (const auto& c : r.clients)
     expect(failures, c.shutdown_received, "a client missed Shutdown");
+  expect(failures, r.setup.fl > 0.0, "no client started training");
 }
 
 RunReport run_deploy_workload(const RunOptions& opt) {
   RunReport report;
-  MetricSet m;
+  auto& m = report.metrics;
+  auto& failures = report.check_failures;
+  // The server, two clients and one idle pool worker: four threads.
+  seafl::set_global_pool_threads(1);
   const DeployWorkload w = deploy_loopback(opt.seed);
   MarkLog log(2 * w.params.max_rounds + 16);
-  std::vector<DeployRep> plain;
-  std::vector<DeployRep> traced;
-  const std::size_t reps = repetitions(opt.seconds, w.nominal_rep_s);
-  for (std::size_t i = 0; i < reps; ++i) {
-    const DeployWorkload wi = deploy_loopback(rep_seed(opt.seed, i));
-    plain.push_back(deploy_rep(wi, log));
-    if (opt.trace) traced.push_back(deploy_rep(wi, log));
-  }
 
-  auto& failures = report.check_failures;
-  for (const DeployRep& r : plain) check_deploy_rep(failures, r, w.accuracy_floor);
-  for (const DeployRep& r : traced) check_deploy_rep(failures, r, w.accuracy_floor);
-
+  // Each repetition is folded into these as soon as it ends and then freed
+  // (see run_sim_workload).
   double run_s = 0.0;
   double updates = 0.0;
-  WindowRates rates;
+  double span_updates = 0.0;
+  double span_cpu_s = 0.0;
+  double allocs = 0.0;
+  double lowest_accuracy = 1.0;
+  std::vector<double> gap_medians_ms;  // one per repetition
   std::vector<double> setup_totals;
   std::vector<double> rss;
-  for (const DeployRep& r : plain) {
-    report.attempted += r.result.model_downloads;
-    const DeployTimes t = deploy_times(r.journal, r.marks);
-    run_s += t.run_s;
-    updates += static_cast<double>(r.result.total_updates);
-    add_windows(t.aggregate_stamps, r.result.round_log, w.window, rates);
-    setup_totals.push_back(r.setup.total());
-    rss.push_back(r.peak_rss_mib);
-  }
-  const double updates_per_s = updates / run_s;
-  m.set("updates_per_s_overall", updates_per_s);
-  m.set("repetitions", static_cast<double>(plain.size()));
-  m.set("window", static_cast<double>(w.window));
-  m.set("final_accuracy_min", min_final_accuracy(plain));
-
-  if (!opt.trace) {
-    m.set("updates_per_s", median(rates.updates_per_s));
-    m.set("round_p50_ms", median(rates.round_ms));
-    m.set("peak_rss_mib", median(rss));
-    m.set("setup_s", median(setup_totals));
-    m.set("setup_samples", static_cast<double>(setup_totals.size()));
-    m.set("windows", static_cast<double>(rates.round_ms.size()));
-    report.metrics = m.take(end_to_end_metric_names());
-    report.diagnostics = m.all();
-    return report;
-  }
-
-  // --- traced run: the server thread's wall, split --------------------------
+  // Traced twins: the server thread's wall, split.
   ResultTotals totals;
   double wall_ns = 0.0, setup_ns = 0.0, agg_ns = 0.0, eval_ns = 0.0;
   double core_ns = 0.0, cpu_ns = 0.0, call_ns = 0.0, self_ns = 0.0;
   double traced_run_s = 0.0, rounds = 0.0, evals = 0.0;
-  double bytes = 0.0, frames = 0.0, allocs = 0.0;
+  double bytes = 0.0, frames = 0.0;
   std::vector<double> rtts, turnarounds, round_gaps, data_s, fl_s;
-  for (const DeployRep& r : traced) {
+
+  const std::size_t reps = repetitions(opt.seconds, w.nominal_rep_s);
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    const DeployWorkload wi = deploy_loopback(rep_seed(opt.seed, rep));
+    {
+      const DeployRep r = deploy_rep(wi, log);
+      check_deploy_rep(failures, r, w.accuracy_floor);
+      report.attempted += r.result.model_downloads;
+      const DeployTimes t = deploy_times(r.journal, r.marks);
+      run_s += t.run_s;
+      updates += static_cast<double>(r.result.total_updates);
+      allocs += static_cast<double>(r.allocs);
+      lowest_accuracy = std::min(lowest_accuracy, r.result.final_accuracy);
+      // The process CPU clock sums the server and both clients. The wall
+      // clock also holds every wake-up of the three threads, which slowed
+      // with the host by up to 35% between periods of the reference host.
+      add_span(aggregation_stamps(r.marks, /*cpu_clock=*/true),
+               r.result.round_log, span_updates, span_cpu_s);
+      if (!t.round_gaps.empty())
+        gap_medians_ms.push_back(median(t.round_gaps) * 1e3);
+      setup_totals.push_back(r.setup.total());
+      rss.push_back(r.peak_rss_mib);
+    }
+    if (!opt.trace) continue;
+
+    const DeployRep r = deploy_rep(wi, log);
+    check_deploy_rep(failures, r, w.accuracy_floor);
     const DeployTimes t = deploy_times(r.journal, r.marks);
     totals.add(r.result);
     wall_ns += static_cast<double>(r.wall.length());
-    setup_ns += (r.setup.data + r.server_ctor_s) * kNsPerS;
+    setup_ns += static_cast<double>(r.data_wall_ns + r.server_ctor_wall_ns);
     agg_ns += t.aggregate_ns;
     eval_ns += t.evaluate_ns;
     evals += static_cast<double>(t.evaluations);
@@ -1058,42 +961,56 @@ RunReport run_deploy_workload(const RunOptions& opt) {
     data_s.push_back(r.setup.data);
     fl_s.push_back(r.setup.fl);
   }
-  for (const DeployRep& r : plain) allocs += static_cast<double>(r.allocs);
+  const double updates_per_s = updates / run_s;
+  note(report, "updates_per_s_overall", updates_per_s, "1/s");
+  if (!gap_medians_ms.empty())
+    note(report, "round_p50_ms", median(gap_medians_ms), "ms");
+  note(report, "repetitions", static_cast<double>(reps), "count");
+  note(report, "final_accuracy_min", lowest_accuracy, "ratio");
+
+  if (!opt.trace) {
+    expect(failures, span_cpu_s > 0.0, "too few rounds to time");
+    if (span_cpu_s > 0.0) m["updates_per_s"] = span_updates / span_cpu_s;
+    m["peak_rss_mib"] = median(rss);
+    m["setup_s"] = median(setup_totals);
+    note(report, "setup_samples", static_cast<double>(setup_totals.size()),
+         "count");
+    return report;
+  }
+
+  // --- traced run: the server thread's wall, split --------------------------
   const double poll_wait_ns = call_ns - cpu_ns;
   const double deploy_ns = self_ns - poll_wait_ns - eval_ns - core_ns;
-
-  m.set("fl.evaluate_ms_per_eval", per(eval_ns / 1e6, evals));
-  m.set("core.aggregate_ms_per_round", per(agg_ns / 1e6, rounds));
-  m.set("core.aggregate_gmacs_per_s", per(totals.work / 1e9, agg_ns / kNsPerS));
-  m.set("fl.server_core_us_per_round", per(core_ns / 1e3, rounds));
-  m.set("fl.deploy.session_rtt_p50_ms", median(rtts));
-  m.set("fl.deploy.turnaround_p50_ms", median(turnarounds));
-  m.set("fl.deploy.server_busy_share", cpu_ns / call_ns);
-  m.set("net.bytes_per_update", per(bytes, totals.uploads));
-  m.set("net.frames_per_update", per(frames, totals.uploads));
-  m.set("compress.wire_bytes_per_update", per(totals.wire_bytes, totals.uploads));
-  m.set("alloc.per_update", per(allocs, updates));
-  m.set("fl.useful_ratio", per(totals.aggregated, totals.dispatched));
-  m.set("fl.session_failure_share",
-        failure_share(totals.dispatched, totals.failed));
-  m.set("fl.mean_staleness", per(totals.staleness, totals.updates));
-  m.set("data.setup_s", median(data_s));
-  m.set("fl.setup_s", median(fl_s));
-  set_round_distribution(m, round_gaps);
+  m["fl.evaluate_ms_per_eval"] = per(eval_ns / 1e6, evals);
+  m["core.aggregate_ms_per_round"] = per(agg_ns / 1e6, rounds);
+  m["core.aggregate_gmacs_per_s"] = per(totals.work / 1e9, agg_ns / kNsPerS);
+  m["fl.server_core_us_per_round"] = per(core_ns / 1e3, rounds);
+  m["fl.deploy.session_rtt_p50_ms"] = median(rtts);
+  m["fl.deploy.turnaround_p50_ms"] = median(turnarounds);
+  m["fl.deploy.server_busy_share"] = cpu_ns / call_ns;
+  m["net.bytes_per_update"] = per(bytes, totals.uploads);
+  m["net.frames_per_update"] = per(frames, totals.uploads);
+  m["compress.wire_bytes_per_update"] = per(totals.wire_bytes, totals.uploads);
+  m["alloc.per_update"] = per(allocs, updates);
+  m["fl.useful_ratio"] = per(totals.aggregated, totals.dispatched);
+  m["fl.session_failure_share"] =
+      failure_share(totals.dispatched, totals.failed);
+  m["fl.mean_staleness"] = per(totals.staleness, totals.updates);
+  m["data.setup_s"] = median(data_s);
+  m["fl.setup_s"] = median(fl_s);
+  set_round_distribution(report, round_gaps);
 
   const std::vector<double> selfs{setup_ns, agg_ns, eval_ns, core_ns,
                                   deploy_ns, poll_wait_ns};
-  m.set("share.setup", setup_ns / wall_ns);
-  m.set("share.core", agg_ns / wall_ns);
-  m.set("share.fl.evaluate", eval_ns / wall_ns);
-  m.set("share.fl.server_core", core_ns / wall_ns);
-  m.set("share.fl.deploy", deploy_ns / wall_ns);
-  m.set("share.net.poll_wait", poll_wait_ns / wall_ns);
-  m.set("trace.unattributed_share", unattributed_share(wall_ns, selfs));
-  m.set("trace.overhead", updates_per_s / (totals.updates / traced_run_s) - 1.0);
-  m.set("trace.wall_s", wall_ns / kNsPerS);
-  report.metrics = m.take(per_layer_metric_names());
-  report.diagnostics = m.all();
+  m["share.setup"] = setup_ns / wall_ns;
+  m["share.core"] = agg_ns / wall_ns;
+  m["share.fl.evaluate"] = eval_ns / wall_ns;
+  m["share.fl.server_core"] = core_ns / wall_ns;
+  m["share.fl.deploy"] = deploy_ns / wall_ns;
+  m["share.net.poll_wait"] = poll_wait_ns / wall_ns;
+  m["trace.unattributed_share"] = unattributed_share(wall_ns, selfs);
+  m["trace.overhead"] = updates_per_s / (totals.updates / traced_run_s) - 1.0;
+  note(report, "trace.wall_s", wall_ns / kNsPerS, "s");
   return report;
 }
 
@@ -1109,55 +1026,6 @@ std::uint64_t failed_sessions(const seafl::RunResult& r) {
 
 std::uint64_t aggregated_updates(const seafl::RunResult& r) {
   return r.total_updates - std::min(r.total_updates, r.screened_updates);
-}
-
-const std::vector<std::string>& end_to_end_metric_names() {
-  static const std::vector<std::string> names{"updates_per_s", "round_p50_ms",
-                                              "peak_rss_mib", "setup_s"};
-  return names;
-}
-
-const std::vector<std::string>& per_layer_metric_names() {
-  static const std::vector<std::string> names{
-      "fl.train_ms_per_update",
-      "fl.evaluate_ms_per_eval",
-      "compress.codec_ms_per_update",
-      "core.aggregate_ms_per_round",
-      "core.aggregate_gmacs_per_s",
-      "fl.server_core_us_per_round",
-      "sim.engine_us_per_update",
-      "fl.deploy.session_rtt_p50_ms",
-      "fl.deploy.turnaround_p50_ms",
-      "fl.deploy.server_busy_share",
-      "net.bytes_per_update",
-      "net.frames_per_update",
-      "compress.wire_bytes_per_update",
-      "alloc.per_update",
-      "sim.events_per_update",
-      "fl.useful_ratio",
-      "fl.session_failure_share",
-      "fl.mean_staleness",
-      "data.setup_s",
-      "sim.setup_s",
-      "fl.setup_s",
-      "fl.round_p50_ms",
-      "fl.round_tail_ms",
-      "fl.round_tail_pct",
-      "fl.round_samples",
-      "trace.unattributed_share",
-      "trace.overhead",
-      "share.data",
-      "share.fl.train",
-      "share.compress",
-      "share.core",
-      "share.fl.server_core",
-      "share.fl.evaluate",
-      "share.sim.engine",
-      "share.fl.deploy",
-      "share.net.poll_wait",
-      "share.setup",
-  };
-  return names;
 }
 
 RunReport run_workload(const RunOptions& options) {

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,7 @@
 
 namespace perfbench {
 
+/// A diagnostic figure with its unit.
 struct Metric {
   std::string name;
   double value = 0.0;
@@ -32,21 +34,18 @@ struct RunReport {
   /// failed operation: runs fail operations only by failing a check (see
   /// fl.session_failure_share for sessions lost to injected faults).
   std::vector<std::string> check_failures;
-  /// End-to-end metrics (untraced run) or per-layer metrics (traced run).
-  std::vector<Metric> metrics;
+  /// End-to-end metrics (untraced run) or per-layer metrics (traced run),
+  /// by name. BENCHMARK.json lists them with their units; run.py attaches
+  /// those and rejects a name it does not list. A per-layer metric whose
+  /// layer does not run on the workload is left out and reads 0.
+  std::map<std::string, double> metrics;
   /// Figures printed and saved with the result but not compared by the
-  /// driver (time_to_target_s, sample counts, ...).
+  /// driver (time_to_target_s, sample counts, ...), with their units.
   std::vector<Metric> diagnostics;
   /// Traced runs of the simulated workloads: the per-layer split of every
   /// server round as CSV, one row per (repetition, round).
   std::string rounds_csv;
 };
-
-/// End-to-end metric names (units are fixed per name).
-const std::vector<std::string>& end_to_end_metric_names();
-/// Per-layer metric names; every traced run reports all of them (0 where a
-/// layer does not run on that workload).
-const std::vector<std::string>& per_layer_metric_names();
 
 /// Sessions of a simulated run that ended without contributing to an
 /// aggregate: expired by a deadline (crashed devices end there too), lost
